@@ -84,9 +84,9 @@ func TestAutoSkinGating(t *testing.T) {
 func TestAutoSkinRetunesWithinBand(t *testing.T) {
 	// One worker: a single partition's key set is stable tick over tick
 	// (flocking has no births or deaths), so displacement observations are
-	// guaranteed. Multi-worker runs observe only churn-free ticks — agents
-	// crossing partitions reset the comparison — which is timing-free but
-	// not guaranteed to sample in a short test.
+	// guaranteed. Multi-worker runs observe the agents that stay in a
+	// partition across a tick; scenario.TestDistributedListReuseUnderChurn
+	// covers them.
 	m := newFlockModel(8)
 	e, err := NewDistributed(m, makePop(m.s, 150, 60, 21), Options{
 		Workers: 1, Index: spatial.KindKDTree, Seed: 17,

@@ -71,10 +71,12 @@ type Options struct {
 	// recovered and load-balanced runs still do identical index work); a
 	// negative value disables the cached path; a positive value is the
 	// skin radius s, used verbatim with no auto-tuning.
-	// The cache is semantics-preserving — reuse requires an unchanged
-	// keyed copy set with every agent within s/2 of its build position,
-	// and every epoch barrier (plus restores and rebalances) invalidates
-	// it, so recovered and load-balanced runs stay bit-identical.
+	// The cache is semantics-preserving — reuse requires every agent
+	// within s/2 of its build position; agents entering or leaving the
+	// keyed copy set are patched into the cached lists (a large turnover
+	// rebuilds them); and every epoch barrier (plus restores and
+	// rebalances) invalidates it, so recovered and load-balanced runs stay
+	// bit-identical.
 
 	// InitialPartition overrides the automatic quantile strip
 	// partitioning with any partitioning function (e.g. partition.KD2D
@@ -586,9 +588,9 @@ type partBufs struct {
 }
 
 // prepare sorts this reducer's copies by agent ID, (re)builds the spatial
-// index over them — through the keyed cache when enabled, so unchanged
-// copy sets with sub-skin motion reuse their candidate lists — and returns
-// the ID-sorted copies plus the owned envelopes and their slots.
+// index over them — through the keyed cache when enabled, so copy sets
+// with sub-skin motion reuse (or patch) their candidate lists — and
+// returns the ID-sorted copies plus the owned envelopes and their slots.
 func (e *Distributed) prepare(w int, envs []*Envelope) (copies []*agent.Agent, owned []*Envelope, ownedSlots []int32) {
 	sort.Slice(envs, func(i, j int) bool { return envs[i].A.ID < envs[j].A.ID })
 	b := &e.bufs[w]
@@ -622,9 +624,10 @@ func (e *Distributed) prepare(w int, envs []*Envelope) (copies []*agent.Agent, o
 		}
 	}
 	if cached != nil {
-		// Keys are agent IDs and the probe set is the owned slots: any
-		// membership or ownership change rebuilds; replica drift beyond
-		// skin/2 rebuilds; everything else reuses.
+		// Keys are the ascending agent IDs and the probe set is the owned
+		// slots: an unchanged copy set reuses its lists, and agents
+		// entering or leaving it, or changing owner, are patched into the
+		// cached lists; drift beyond skin/2 or wholesale churn rebuilds.
 		if e.colM != nil {
 			cached.BuildKeyedCols(b.cols[e.schema.PosX], b.cols[e.schema.PosY], b.keys, b.ownedSlot)
 		} else {
@@ -689,7 +692,7 @@ func (e *Distributed) maybeRetune(w int, tick uint64) {
 	c := e.cixs[w]
 	samples, step := c.StepStats()
 	if samples == 0 {
-		return // population churned every warmup tick; keep the seed
+		return // no warmup build had a survivor to observe; keep the seed
 	}
 	s := autoSkinFor(step, c.ProbeRadius())
 	e.tunedSkin[w] = s
@@ -722,9 +725,17 @@ func (e *Distributed) CacheStats() spatial.CacheStats {
 			s := c.CacheStats()
 			cs.Builds += s.Builds
 			cs.Reuses += s.Reuses
+			cs.Patches += s.Patches
 		}
 	}
 	return cs
+}
+
+// TunedSkins returns, per partition, the last skin the auto-tuner picked
+// (0 where it never retuned or auto-tuning is off). Valid between
+// RunTicks calls.
+func (e *Distributed) TunedSkins() []float64 {
+	return append([]float64(nil), e.tunedSkin...)
 }
 
 // RunTicks advances the simulation n full ticks (query + update each).

@@ -116,7 +116,7 @@ func Runners() []Runner {
 		{"collocation", []string{"a1"}, "ablation: collocated vs shipped update phase", AblationCollocation},
 		{"checkpoint", []string{"a2"}, "ablation: checkpoint interval cost", AblationCheckpointInterval},
 		{"inversion", []string{"a3"}, "ablation: compiler inversion pass", AblationInversionPass},
-		{"qcache", []string{"a4", "cache"}, "ablation: Verlet query cache off vs on, with build/reuse split", AblationQueryCache},
+		{"qcache", []string{"a4", "cache"}, "ablation: Verlet query cache off vs on, with build/reuse/patch split", AblationQueryCache},
 		{"overlap", []string{"a5"}, "ablation: overlapped two-pass tick off vs on, bit-identity checked", AblationOverlap},
 		{"scenarios", []string{"sweep"}, "every registered scenario: throughput vs workers", ScenarioSweep},
 	}

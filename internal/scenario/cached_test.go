@@ -106,3 +106,43 @@ func TestCachedEquivalenceUnderLoadBalance(t *testing.T) {
 		})
 	}
 }
+
+// TestDistributedListReuseUnderChurn guards the partitioned query cache
+// with deterministic counters, no timing: fish agents change owner every
+// tick at 2 workers, and those ownership changes must be patched into the
+// cached candidate lists rather than rebuild them, and must not starve the
+// skin auto-tuner of displacement samples (which collapsed the skin to its
+// ρ/16 floor and switched the lists off).
+func TestDistributedListReuseUnderChurn(t *testing.T) {
+	sp, ok := Lookup("fish")
+	if !ok {
+		t.Fatal("fish scenario not registered")
+	}
+	m, pop, err := sp.New(Config{Agents: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.NewDistributed(m, pop, engine.Options{Workers: 2, Index: spatial.KindKDTree, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := e.RunTicks(20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := e.CacheStats()
+	if ratio := float64(cs.Reuses) / float64(cs.Builds+cs.Reuses); ratio < 0.5 || cs.Patches == 0 {
+		t.Errorf("list reuse ratio %.3f with %d patches (%+v), want ≥ 0.5 and > 0", ratio, cs.Patches, cs)
+	}
+	s := m.Schema()
+	rho := s.Visibility
+	if s.ProbeRadius > 0 && s.ProbeRadius < rho {
+		rho = s.ProbeRadius
+	}
+	for w, skin := range e.TunedSkins() {
+		if skin <= rho/16 {
+			t.Errorf("partition %d tuned skin %v at the ρ/16 floor %v", w, skin, rho/16)
+		}
+	}
+}

@@ -65,17 +65,34 @@ func TestStepTracking(t *testing.T) {
 	}
 }
 
-// A changed key set (births, deaths, migration) is not a step — there is
-// no meaningful per-agent displacement to observe.
-func TestStepTrackingSkipsKeyChanges(t *testing.T) {
+// Across a key change (births, deaths, migration) the step is the largest
+// move among survivors — keys both calls carry, paired by the ascending-key
+// merge. Arrivals and departures have no previous position and never count;
+// a call with no survivor at all takes no sample.
+func TestStepTrackingObservesSurvivorsAcrossKeyChanges(t *testing.T) {
 	c := NewCached(12, 3)
 	c.SetStepTracking(true)
-	pts := []Point{{Pos: geom.V(0, 0), ID: 0}, {Pos: geom.V(10, 0), ID: 1}}
-	c.BuildKeyed(clonePts(pts), []int64{7, 8}, nil)
-	pts[0].Pos = geom.V(50, 50)
-	c.BuildKeyed(clonePts(pts), []int64{7, 9}, nil)
-	if n, s := c.StepStats(); n != 0 || s != 0 {
-		t.Fatalf("key change observed as a step: %d/%v", n, s)
+	c.BuildKeyed([]Point{
+		{Pos: geom.V(0, 0), ID: 0},
+		{Pos: geom.V(10, 0), ID: 1},
+		{Pos: geom.V(20, 0), ID: 2},
+	}, []int64{7, 8, 9}, nil)
+
+	// Key 8 departs, key 10 arrives far away, survivors 7 and 9 shift
+	// slots-wise (9 moves from slot 2 to slot 1) and move 0.3 and 0.5.
+	c.BuildKeyed([]Point{
+		{Pos: geom.V(0.3, 0), ID: 0},
+		{Pos: geom.V(20, 0.5), ID: 1},
+		{Pos: geom.V(500, 500), ID: 2},
+	}, []int64{7, 9, 10}, nil)
+	if n, s := c.StepStats(); n != 1 || math.Abs(s-0.5) > 1e-12 {
+		t.Fatalf("survivor step across a key change: samples=%d max=%v, want 1/0.5", n, s)
+	}
+
+	// A disjoint key set has no survivors: no sample, max unchanged.
+	c.BuildKeyed([]Point{{Pos: geom.V(900, 900), ID: 0}}, []int64{11}, nil)
+	if n, s := c.StepStats(); n != 1 || math.Abs(s-0.5) > 1e-12 {
+		t.Fatalf("disjoint key set observed as a step: samples=%d max=%v", n, s)
 	}
 }
 

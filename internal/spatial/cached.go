@@ -6,16 +6,23 @@
 // reuses the lists — a filtered linear scan, no tree walk, no sort —
 // until some point has drifted more than s/2 from its build position.
 //
-// Correctness invariant: if every point has moved at most s/2 since the
-// lists were built, then for any probe radius r ≤ ρ centered at a point's
-// *current* position, every point currently within r was within r+s ≤ ρ+s
-// of the probing point's *build* position (triangle inequality, two moves
-// of ≤ s/2), i.e. it is in the candidate list. All inequalities are
-// closed, so reuse is exact at a displacement of exactly s/2.
+// Correctness invariant: every point p carries a build position b(p) with
+// |cur(p) − b(p)| ≤ s/2, and every probing slot i's list holds every point
+// j with |b(i) − b(j)| ≤ ρ+s. Then for any probe radius r ≤ ρ centered at
+// i's *current* position, every point currently within r is in the list
+// (triangle inequality, two moves of ≤ s/2). All inequalities are closed,
+// so reuse is exact at a displacement of exactly s/2.
+//
+// The invariant is per pair, so it survives membership changes: a patch
+// (see tryPatch) drops departed points from the lists, gives each arrival
+// its current position as build position (and, if it probes, a fresh
+// list), and inserts it into every list whose build position lies within
+// ρ+s of it.
 package spatial
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -23,12 +30,15 @@ import (
 )
 
 // CacheStats counts how BuildKeyed calls resolved: Builds is full rebuilds
-// (tree + candidate lists), Reuses is ticks served from cached lists.
-// Unlike Index.Stats on the base indexes, these counters — and the cached
-// index's Stats — accumulate across Build calls; callers take deltas.
+// (tree + candidate lists), Reuses is ticks served from cached lists, and
+// Patches is the subset of Reuses whose keyed membership or probe set
+// changed, served by patching the cached lists (see BuildKeyed). Unlike
+// Index.Stats on the base indexes, these counters — and the cached index's
+// Stats — accumulate across Build calls; callers take deltas.
 type CacheStats struct {
-	Builds int64
-	Reuses int64
+	Builds  int64
+	Reuses  int64
+	Patches int64
 }
 
 // CachedIndex is a KD-tree with Verlet candidate-list reuse. It implements
@@ -68,37 +78,54 @@ type CachedIndex struct {
 	listWork   int64 // candidate-list entries of the last build (per-tick scan cost)
 
 	keys     []int64    // per-slot identity at build
-	probeSet []int32    // slots that probe (nil = all); must match to reuse
+	keysAsc  bool       // keys are strictly ascending (a patch precondition)
+	probeSet []int32    // slots that probe (nil = all)
 	hasProbe bool       // probeSet was provided
-	built    []geom.Vec // positions at build, slot order
+	built    []geom.Vec // build positions, slot order
 	cur      []geom.Vec // current positions, slot order
 	ids      []int32    // caller Point.IDs, slot order
 	treePts  []Point    // tree's copy (reordered by its Build); ID = slot
 	pad      float64    // max displacement since build (generic inflation)
 
-	lists [][]int32 // per-slot candidate slots, ascending; nil w/o probeRad
-	mask  []bool    // probe-set membership scratch
+	// Candidate lists in CSR form: slot i's list is ent[off[i]:off[i+1]],
+	// ascending, and empty unless mask[i] (i probes). probers counts the
+	// probing slots. A patch writes the next lists, mask and build
+	// positions into the *Alt buffers and swaps, so a warmed-up patch
+	// allocates nothing.
+	off, ent       []int32
+	mask           []bool
+	probers        int
+	offAlt, entAlt []int32
+	maskAlt        []bool
+	builtAlt       []geom.Vec
+
+	// Key pairing between consecutive BuildKeyed calls (see matchKeys).
+	same  bool    // the keyed slot sequence is unchanged
+	src   []int32 // new slot → old slot holding the same key, -1 = arrival
+	remap []int32 // old slot → new slot holding the same key, -1 = departure
+	ins   []int64 // patch scratch: row<<32 | arrival slot, one per insertion
 
 	// Per-tick displacement tracking for skin auto-tuning. When enabled,
-	// every BuildKeyed whose keyed slot sequence matches the previous call
-	// records the max distance any point moved since that call. Reset by
-	// Invalidate, so the observations — like the adaptive list gate — are a
-	// pure function of forward execution from the last barrier.
+	// every BuildKeyed records the max distance any surviving point (one
+	// whose key the previous call also carried) moved since that call.
+	// Reset by Invalidate, so the observations — like the adaptive list
+	// gate — are a pure function of forward execution from the last
+	// barrier.
 	track       bool
 	stepSamples int
 	stepMax     float64
 
-	// Per-chunk scratch for the parallel list build.
-	pairs [][]int64
-	hits  [][]int32
-	vis   []int64
+	// List-build scratch: hits[c] holds, for each sweep point j of chunk c
+	// in ascending order, the probing slots within range of j; jcnt[j]
+	// counts them, vis[c] is the chunk's visited count, and fill holds the
+	// scatter cursors that transpose the hits into the CSR lists.
+	hits [][]int32
+	jcnt []int32
+	vis  []int64
+	fill []int32
 
-	// Uniform-grid scratch for the list build (see buildListsGrid).
-	cellStart []int32
-	cellCur   []int32
-	cellPts   []int32
-	cellXs    []float64
-	cellYs    []float64
+	// Uniform-grid scratch for the list build (see binGrid).
+	grid listGrid
 
 	// Point scratch for BuildKeyedCols (column-fed builds).
 	colPts []Point
@@ -161,16 +188,18 @@ func (c *CachedIndex) SetSkin(s float64) {
 // per-build scan entirely.
 func (c *CachedIndex) SetStepTracking(on bool) { c.track = on }
 
-// StepStats returns the number of same-population BuildKeyed calls observed
-// since the last Invalidate and the maximum per-call displacement among
-// them. Zero-displacement duplicate builds (the overlapped path's barrier
-// prebuilds) contribute samples but never raise the max, so the max is
-// identical whether or not the overlapped tick is active.
+// StepStats returns the number of BuildKeyed calls observed since the last
+// Invalidate and the maximum per-call displacement among them. A call is
+// observed when at least one of its keys was also carried by the previous
+// call; arrivals and departures never contribute. Zero-displacement
+// duplicate builds (the overlapped path's barrier prebuilds) contribute
+// samples but never raise the max, so the max is identical whether or not
+// the overlapped tick is active.
 func (c *CachedIndex) StepStats() (samples int, maxStep float64) {
 	return c.stepSamples, c.stepMax
 }
 
-// CacheStats returns cumulative build/reuse counters.
+// CacheStats returns cumulative build/reuse/patch counters.
 func (c *CachedIndex) CacheStats() CacheStats { return c.cs }
 
 // Invalidate drops the cached build, forcing the next BuildKeyed to
@@ -197,23 +226,44 @@ func (c *CachedIndex) HasLists() bool { return c.listsBuilt }
 func (c *CachedIndex) ProbeRadius() float64 { return c.probeRad }
 
 // BuildKeyed installs the tick's point set. keys[i] is a stable identity
-// for slot i (the engines pass agent IDs): when the keyed slot sequence is
-// unchanged since the last build, the probe set is the same, and no point
-// has moved more than s/2 from its build position, the cached tree and
-// candidate lists are reused and only current positions are refreshed.
-// Otherwise the tree is rebuilt and, when probeRad > 0, candidate lists
-// with radius probeRad+s are rebuilt for every probe slot (probe == nil
-// means every slot probes). Returns whether a rebuild happened.
+// for slot i (the engines pass agent IDs). It resolves in one of three
+// ways, cheapest first:
+//
+//   - Reuse: the keyed slot sequence and the probe set are unchanged and
+//     no point has moved more than s/2 from its build position. The
+//     cached tree and candidate lists stay; only current positions are
+//     refreshed.
+//   - Patch: the keys differ (or the probe set does), but both the old
+//     and the new keys are strictly ascending, no surviving point has
+//     moved more than s/2, and the churn — arrivals, departures and
+//     probe-set flips — is small against the probe set (patchChurnDiv).
+//     The tree is rebuilt over the build positions; surviving lists are
+//     remapped to the new slots and receive the arrivals (see tryPatch).
+//   - Rebuild: otherwise the tree is rebuilt and, when probeRad > 0,
+//     candidate lists with radius probeRad+s are rebuilt for every probe
+//     slot (probe == nil means every slot probes).
+//
+// Reuses and patches count as Reuses in CacheStats, patches also as
+// Patches. Returns whether a rebuild happened.
 //
 // The caller's pts slice is copied, not retained or reordered.
 func (c *CachedIndex) BuildKeyed(pts []Point, keys []int64, probe []int32) bool {
-	if c.track {
-		c.observeStep(pts, keys)
+	matched := c.matchKeys(len(pts), keys)
+	if c.track && matched {
+		c.observeStep(pts)
 	}
-	if c.listsOn && c.tryReuse(pts, keys, probe) {
-		c.cs.Reuses++
-		c.reuseRun++
-		return false
+	if c.listsOn && matched {
+		if c.tryReuse(pts, probe) {
+			c.cs.Reuses++
+			c.reuseRun++
+			return false
+		}
+		if c.tryPatch(pts, keys, probe) {
+			c.cs.Reuses++
+			c.cs.Patches++
+			c.reuseRun++
+			return false
+		}
 	}
 	// Adaptive gate. Lists pay for themselves two ways: reuse across
 	// ticks, and cheaper probes within a tick (a sorted flat scan instead
@@ -255,24 +305,71 @@ func (c *CachedIndex) Build(pts []Point) {
 	c.cs.Builds++
 }
 
-// observeStep records the displacement since the previous BuildKeyed call
-// when the keyed slot sequence is unchanged: pts[i] then corresponds to
-// c.cur[i], the position the same agent held at the previous call. Runs
-// before reuse/rebuild overwrite c.cur.
-func (c *CachedIndex) observeStep(pts []Point, keys []int64) {
-	if !c.valid || !c.keyed || keys == nil || len(pts) != c.n || len(keys) != c.n {
-		return
+// matchKeys pairs the n keyed slots of this call with the previous
+// build's: src[k] is the old slot carrying new slot k's key (-1 for an
+// arrival) and remap[i] the new slot of old slot i's key (-1 for a
+// departure). An unchanged sequence pairs slot by slot (and sets same);
+// a changed one pairs by merging, which needs both sequences strictly
+// ascending. Reports whether a pairing was made.
+func (c *CachedIndex) matchKeys(n int, keys []int64) bool {
+	c.same = false
+	if !c.valid || !c.keyed || keys == nil || len(keys) != n {
+		return false
 	}
-	for i, k := range keys {
-		if c.keys[i] != k {
-			return
+	m := c.n
+	c.src = grow(c.src, n)
+	c.remap = grow(c.remap, m)
+	if slices.Equal(keys, c.keys) {
+		for i := range c.src {
+			c.src[i] = int32(i)
+			c.remap[i] = int32(i)
+		}
+		c.same = true
+		return true
+	}
+	if !c.keysAsc {
+		return false
+	}
+	i := 0
+	for k, key := range keys {
+		if k > 0 && key <= keys[k-1] {
+			return false
+		}
+		for i < m && c.keys[i] < key {
+			c.remap[i] = -1
+			i++
+		}
+		if i < m && c.keys[i] == key {
+			c.src[k] = int32(i)
+			c.remap[i] = int32(k)
+			i++
+		} else {
+			c.src[k] = -1
 		}
 	}
-	maxD2 := 0.0
-	for i := range pts {
-		if d2 := pts[i].Pos.Dist2(c.cur[i]); d2 > maxD2 {
+	for ; i < m; i++ {
+		c.remap[i] = -1
+	}
+	return true
+}
+
+// observeStep records the largest displacement of a surviving point since
+// the previous BuildKeyed call: pts[k] against c.cur[src[k]], the position
+// the same key held then. A call without survivors takes no sample. Runs
+// after matchKeys and before reuse/patch/rebuild overwrite c.cur.
+func (c *CachedIndex) observeStep(pts []Point) {
+	maxD2, survivors := 0.0, false
+	for k, o := range c.src[:len(pts)] {
+		if o < 0 {
+			continue
+		}
+		survivors = true
+		if d2 := pts[k].Pos.Dist2(c.cur[o]); d2 > maxD2 {
 			maxD2 = d2
 		}
+	}
+	if !survivors {
+		return
 	}
 	c.stepSamples++
 	if s := math.Sqrt(maxD2); s > c.stepMax {
@@ -280,25 +377,14 @@ func (c *CachedIndex) observeStep(pts []Point, keys []int64) {
 	}
 }
 
-// tryReuse checks the reuse conditions and, when they hold, refreshes
-// current positions and the displacement pad.
-func (c *CachedIndex) tryReuse(pts []Point, keys []int64, probe []int32) bool {
-	if !c.valid || !c.keyed || c.skin <= 0 || keys == nil ||
-		len(pts) != c.n || len(keys) != c.n {
+// tryReuse checks the reuse conditions for an unchanged key sequence and,
+// when they hold, refreshes current positions and the displacement pad.
+func (c *CachedIndex) tryReuse(pts []Point, probe []int32) bool {
+	if !c.same || c.skin <= 0 {
 		return false
 	}
-	for i, k := range keys {
-		if c.keys[i] != k {
-			return false
-		}
-	}
-	if (probe == nil) != !c.hasProbe || len(probe) != len(c.probeSet) {
+	if (probe == nil) != !c.hasProbe || !slices.Equal(probe, c.probeSet) {
 		return false
-	}
-	for i, s := range probe {
-		if c.probeSet[i] != s {
-			return false
-		}
 	}
 	lim := (c.skin / 2) * (c.skin / 2)
 	maxD2 := 0.0
@@ -314,12 +400,183 @@ func (c *CachedIndex) tryReuse(pts []Point, keys []int64, probe []int32) bool {
 		c.cur[i] = pts[i].Pos
 		c.ids[i] = pts[i].ID
 	}
-	if maxD2 > 0 {
-		c.pad = math.Sqrt(maxD2)
-	} else {
-		c.pad = 0
-	}
+	c.pad = math.Sqrt(maxD2)
 	return true
+}
+
+// patchChurnDiv bounds the churn a patch absorbs: arrivals, departures and
+// probe-set flips together at most (old + new probing slots) / patchChurnDiv.
+// Each unit of churn costs a tree query, while a rebuild's cost scales
+// with the probing slots; past the bound — a population turning over
+// wholesale, say — a rebuild is the cheaper and tighter answer.
+const patchChurnDiv = 8
+
+// tryPatch carries the cached lists across a keyed-membership or probe-set
+// change (matchKeys has paired the slots). Declined — leaving the cache
+// untouched for a rebuild — unless lists exist, every surviving point is
+// within s/2 of its build position, and the churn fits patchChurnDiv.
+//
+// A survivor keeps its build position; an arrival takes its current one.
+// The tree is rebuilt over the build positions. Then each new slot's list
+// is one of:
+//
+//   - a surviving probe slot's old list rewritten through remap — the map
+//     is monotone, so the list stays ascending, and departures drop out —
+//     merged with the arrivals within ρ+s of it (found by one tree query
+//     per arrival; arrivals are never survivors, so nothing duplicates);
+//   - a fresh ρ+s tree query, sorted, for an arrival that probes or a
+//     survivor that starts probing;
+//   - empty for a slot that does not probe.
+//
+// Every list then holds every point whose build position is within ρ+s of
+// its own, which is the per-pair invariant reuse needs.
+func (c *CachedIndex) tryPatch(pts []Point, keys []int64, probe []int32) bool {
+	if !c.listsBuilt || c.skin <= 0 {
+		return false
+	}
+	n := len(pts)
+	c.maskAlt = grow(c.maskAlt, n)
+	mask := c.maskAlt
+	for k := range mask {
+		mask[k] = probe == nil
+	}
+	for _, s := range probe {
+		mask[s] = true
+	}
+	lim := (c.skin / 2) * (c.skin / 2)
+	maxD2 := 0.0
+	churn, probers, survivors := 0, 0, 0
+	for k, o := range c.src[:n] {
+		if mask[k] {
+			probers++
+		}
+		if o < 0 {
+			churn++
+			continue
+		}
+		survivors++
+		if mask[k] != c.mask[o] {
+			churn++
+		}
+		if d2 := pts[k].Pos.Dist2(c.built[o]); d2 > maxD2 {
+			if d2 > lim {
+				return false
+			}
+			maxD2 = d2
+		}
+	}
+	churn += c.n - survivors
+	if churn > (c.probers+probers)/patchChurnDiv {
+		return false
+	}
+
+	// Build positions, current positions and the tree.
+	c.builtAlt = grow(c.builtAlt, n)
+	c.cur = grow(c.cur, n)
+	c.ids = grow(c.ids, n)
+	c.treePts = grow(c.treePts, n)
+	for k, p := range pts {
+		b := p.Pos
+		if o := c.src[k]; o >= 0 {
+			b = c.built[o]
+		}
+		c.builtAlt[k] = b
+		c.cur[k] = p.Pos
+		c.ids[k] = p.ID
+		c.treePts[k] = Point{Pos: b, ID: int32(k)}
+	}
+	c.tree.Build(c.treePts)
+	R := c.probeRad + c.skin
+
+	// Insertions: arrival a goes into every surviving list within ρ+s.
+	var probes, visited int64
+	c.ins = c.ins[:0]
+	hits := c.hits[0][:0]
+	for a, o := range c.src[:n] {
+		if o >= 0 {
+			continue
+		}
+		var v int64
+		hits, v = c.tree.rangeCircleSlots(c.builtAlt[a], R, hits[:0])
+		probes++
+		visited += v
+		for _, i := range hits {
+			if mask[i] && c.src[i] >= 0 && c.mask[c.src[i]] {
+				c.ins = append(c.ins, int64(i)<<32|int64(a))
+			}
+		}
+	}
+	c.hits[0] = hits
+	slices.Sort(c.ins)
+
+	// Assemble the new lists; the current lists' size is the estimate.
+	c.offAlt = grow(c.offAlt, n+1)
+	ent, ins := growSlack(c.entAlt, int(c.off[c.n]))[:0], c.ins
+	for k := 0; k < n; k++ {
+		c.offAlt[k] = int32(len(ent))
+		if !mask[k] {
+			continue
+		}
+		if o := c.src[k]; o >= 0 && c.mask[o] {
+			m := 0
+			for m < len(ins) && ins[m]>>32 == int64(k) {
+				m++
+			}
+			ent = remapRow(ent, c.ent[c.off[o]:c.off[o+1]], c.remap, ins[:m])
+			ins = ins[m:]
+			continue
+		}
+		start := len(ent)
+		var v int64
+		ent, v = c.tree.rangeCircleSlots(c.builtAlt[k], R, ent)
+		probes++
+		visited += v
+		slices.Sort(ent[start:])
+	}
+	c.offAlt[n] = int32(len(ent))
+	c.entAlt = ent
+
+	c.off, c.offAlt = c.offAlt, c.off
+	c.ent, c.entAlt = c.entAlt, c.ent
+	c.mask, c.maskAlt = c.maskAlt, c.mask
+	c.built, c.builtAlt = c.builtAlt, c.built
+	c.n = n
+	c.keys = append(c.keys[:0], keys...)
+	c.probeSet = append(c.probeSet[:0], probe...)
+	c.hasProbe = probe != nil
+	c.probers = probers
+	c.pad = math.Sqrt(maxD2)
+	c.charge(probes, visited)
+	return true
+}
+
+// remapRow appends to dst the list old rewritten through remap (entries
+// with remap < 0, departures, drop out) merged with the arrival slots in
+// adds (row<<32 | slot, ascending). Both ascend and are disjoint, so the
+// appended row ascends without duplicates.
+func remapRow(dst, old, remap []int32, adds []int64) []int32 {
+	start := len(dst)
+	dst = slices.Grow(dst, len(old)+len(adds))[:start+len(old)+len(adds)]
+	w := start
+	for _, j := range old {
+		nj := remap[j]
+		dst[w] = nj
+		w += int(uint32(^nj) >> 31) // advance past survivors (nj ≥ 0) only
+	}
+	// Merge the arrivals in from the back, shifting larger survivors up.
+	n := w + len(adds)
+	end := n
+	for a := len(adds) - 1; a >= 0; a-- {
+		s := int32(adds[a])
+		for w > start && dst[w-1] > s {
+			w--
+			end--
+			dst[end] = dst[w]
+		}
+		end--
+		dst[end] = s
+	}
+	return dst[:n]
 }
 
 func (c *CachedIndex) rebuild(pts []Point, keys []int64, probe []int32) {
@@ -329,6 +586,7 @@ func (c *CachedIndex) rebuild(pts []Point, keys []int64, probe []int32) {
 	c.keyed = keys != nil
 	c.pad = 0
 	c.keys = append(c.keys[:0], keys...)
+	c.keysAsc = c.keyed && strictlyAscending(keys)
 	c.probeSet = append(c.probeSet[:0], probe...)
 	c.hasProbe = probe != nil
 	c.built = grow(c.built, n)
@@ -348,9 +606,28 @@ func (c *CachedIndex) rebuild(pts []Point, keys []int64, probe []int32) {
 	}
 }
 
+func strictlyAscending(keys []int64) bool {
+	for k := 1; k < len(keys); k++ {
+		if keys[k] <= keys[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// growSlack is grow for the candidate-list arrays: an allocation leaves a
+// quarter of headroom, so lists that grow a little from build to build (or
+// patch to patch) do not reallocate every time.
+func growSlack(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n, n+n/4)
 	}
 	return s[:n]
 }
@@ -359,22 +636,15 @@ func grow[T any](s []T, n int) []T {
 const listBuildGrain = 64
 
 // buildLists constructs the per-slot candidate lists with radius ρ+s.
-// It sweeps candidates j in ascending slot order and appends j to the list
-// of every probe slot i within range — the pair relation is symmetric, so
-// one tree probe per candidate discovers all its list memberships, and the
-// ascending sweep leaves every list sorted by slot (= ascending agent ID
-// in the engines) with no per-probe sort ever needed again.
+// It sweeps candidates j in ascending slot order and records, per j, every
+// probe slot i within range — the pair relation is symmetric, so one range
+// probe per candidate discovers all its list memberships. The sweep runs
+// in parallel chunks of j into private buffers; transposing the hits in
+// chunk order then appends j to each list in ascending order, so every
+// list comes out sorted by slot (= ascending agent ID in the engines) with
+// no per-probe sort, identical at any chunking.
 func (c *CachedIndex) buildLists() {
 	n := c.n
-	if cap(c.lists) < n {
-		old := c.lists
-		c.lists = make([][]int32, n)
-		copy(c.lists, old)
-	}
-	c.lists = c.lists[:n]
-	for i := range c.lists {
-		c.lists[i] = c.lists[i][:0]
-	}
 	c.mask = grow(c.mask, n)
 	for i := range c.mask {
 		c.mask[i] = !c.hasProbe
@@ -382,77 +652,127 @@ func (c *CachedIndex) buildLists() {
 	for _, s := range c.probeSet {
 		c.mask[s] = true
 	}
+	c.probers = 0
+	for _, m := range c.mask {
+		if m {
+			c.probers++
+		}
+	}
 
 	R := c.probeRad + c.skin
-	if c.buildListsGrid(R) {
-		return
-	}
+	grid := c.binGrid(R)
 	chunks := Parallelism()
 	if m := n / listBuildGrain; m < chunks {
 		chunks = m
 	}
-	for len(c.hits) < chunks || len(c.hits) == 0 {
+	if chunks < 1 {
+		chunks = 1
+	}
+	for len(c.hits) < chunks {
 		c.hits = append(c.hits, nil)
 	}
-	if chunks <= 1 {
-		// Serial: append directly.
-		hits := c.hits[0]
-		var visited, entries int64
-		for j := 0; j < n; j++ {
-			var v int64
-			hits, v = c.tree.rangeCircleSlots(c.built[j], R, hits[:0])
-			visited += v
-			for _, i := range hits {
-				if c.mask[i] {
-					c.lists[i] = append(c.lists[i], int32(j))
-					entries++
-				}
-			}
+	c.jcnt = grow(c.jcnt, n)
+	c.vis = grow(c.vis, chunks)
+	sweep := func(chunk, lo, hi int) {
+		if grid {
+			c.hits[chunk], c.vis[chunk] = c.sweepGrid(lo, hi, R*R, c.hits[chunk][:0])
+		} else {
+			c.hits[chunk], c.vis[chunk] = c.sweepTree(lo, hi, R, c.hits[chunk][:0])
 		}
-		c.hits[0] = hits
-		c.buildCost, c.listWork = visited, entries
-		c.charge(int64(n), visited)
-		return
+	}
+	if chunks == 1 {
+		sweep(0, 0, n)
+	} else {
+		ParallelFor(n, listBuildGrain, sweep)
 	}
 
-	// Parallel: chunks of the j-sweep record (i, j) pairs into private
-	// buffers; the merge appends them chunk-by-chunk, preserving ascending
-	// j — identical lists to the serial path, regardless of chunking.
-	for len(c.pairs) < chunks {
-		c.pairs = append(c.pairs, nil)
-	}
-	c.vis = grow(c.vis, chunks)
-	ParallelFor(n, listBuildGrain, func(chunk, lo, hi int) {
-		pairs := c.pairs[chunk][:0]
-		hits := c.hits[chunk]
-		var visited int64
-		for j := lo; j < hi; j++ {
-			var v int64
-			hits, v = c.tree.rangeCircleSlots(c.built[j], R, hits[:0])
-			visited += v
-			for _, i := range hits {
-				if c.mask[i] {
-					pairs = append(pairs, int64(i)<<32|int64(j))
-				}
-			}
-		}
-		c.pairs[chunk] = pairs
-		c.hits[chunk] = hits
-		c.vis[chunk] = visited
-	})
-	var visited, entries int64
+	// Transpose: count each list's entries, then scatter j into the lists
+	// walking the chunk buffers in order (ascending j).
+	c.off = grow(c.off, n+1)
+	clear(c.off)
+	var visited int64
 	for chunk := 0; chunk < chunks; chunk++ {
-		for _, pr := range c.pairs[chunk] {
-			c.lists[pr>>32] = append(c.lists[pr>>32], int32(pr&0xffffffff))
+		for _, i := range c.hits[chunk] {
+			c.off[i+1]++
 		}
 		visited += c.vis[chunk]
-		entries += int64(len(c.pairs[chunk]))
 	}
-	c.buildCost, c.listWork = visited, entries
+	for i := 1; i <= n; i++ {
+		c.off[i] += c.off[i-1]
+	}
+	entries := c.off[n]
+	c.ent = growSlack(c.ent, int(entries))
+	c.fill = grow(c.fill, n)
+	copy(c.fill, c.off[:n])
+	chunk, pos := 0, 0
+	for j := 0; j < n; j++ {
+		for k := c.jcnt[j]; k > 0; k-- {
+			for pos == len(c.hits[chunk]) {
+				chunk, pos = chunk+1, 0
+			}
+			i := c.hits[chunk][pos]
+			pos++
+			c.ent[c.fill[i]] = int32(j)
+			c.fill[i]++
+		}
+	}
+	c.buildCost, c.listWork = visited, int64(entries)
 	c.charge(int64(n), visited)
 }
 
-// buildListsGrid is the dense-layout list construction: a uniform grid
+// sweepTree is the sparse-layout list sweep: one tree probe per candidate
+// j in [lo, hi), appending the probing slots in range to buf.
+func (c *CachedIndex) sweepTree(lo, hi int, R float64, buf []int32) ([]int32, int64) {
+	var visited int64
+	for j := lo; j < hi; j++ {
+		start := len(buf)
+		var v int64
+		buf, v = c.tree.rangeCircleSlots(c.built[j], R, buf)
+		visited += v
+		if c.hasProbe {
+			kept := start
+			for _, i := range buf[start:] {
+				if c.mask[i] {
+					buf[kept] = i
+					kept++
+				}
+			}
+			buf = buf[:kept]
+		}
+		c.jcnt[j] = int32(len(buf) - start)
+	}
+	return buf, visited
+}
+
+// listGrid is the uniform grid of the dense-layout list build.
+type listGrid struct {
+	minX, minY, h float64
+	nx, ny        int
+	start         []int32   // cell → first bin index (ncells+1 entries)
+	cur           []int32   // binning cursors
+	pts           []int32   // bin order → slot
+	xs, ys        []float64 // bin order → build coordinates
+}
+
+// cell returns p's clamped cell coordinates.
+func (g *listGrid) cell(p geom.Vec) (int, int) {
+	cx, cy := int((p.X-g.minX)/g.h), int((p.Y-g.minY)/g.h)
+	if cx >= g.nx {
+		cx = g.nx - 1
+	}
+	if cy >= g.ny {
+		cy = g.ny - 1
+	}
+	return cx, cy
+}
+
+// window returns the clamped 5×5 cell neighborhood of p.
+func (g *listGrid) window(p geom.Vec) (xlo, xhi, ylo, yhi int) {
+	cx, cy := g.cell(p)
+	return max(cx-2, 0), min(cx+2, g.nx-1), max(cy-2, 0), min(cy+2, g.ny-1)
+}
+
+// binGrid prepares the dense-layout list construction: a uniform grid
 // with cell edge R/2 replaces the per-point tree probe. Binning is a
 // counting sort (stable, so cell membership ascends by slot) that also
 // copies the coordinates into bin order, so the pair sweep streams
@@ -461,185 +781,98 @@ func (c *CachedIndex) buildLists() {
 // cells per axis at edge R/2, and the finer cells shrink the tested area
 // from 9R² (3×3 at edge R) to 6.25R². Cells of one window row are
 // adjacent in the bin layout, so each row is a single contiguous span.
-// The candidate sweep runs j ascending exactly like the tree path, and
-// the order in which a given j tests its i-candidates never reaches the
-// output (each hit appends j to a distinct lists[i]), so the lists hold
-// the identical entries in the identical order; only the construction
-// cost (and its Visited accounting, which counts bin members examined
-// instead of tree candidates) changes. Returns false for layouts so
-// sparse that cells would far outnumber points — there the tree's pruning
-// wins and the caller keeps the tree sweep.
-func (c *CachedIndex) buildListsGrid(R float64) bool {
+// The order in which a given j tests its candidates never reaches the
+// output (the transpose orders every list by j), so the lists hold the
+// entries of the tree sweep; only the construction cost (and its Visited
+// accounting, which counts bin members examined instead of tree
+// candidates) changes. Returns false for layouts so sparse that cells
+// would far outnumber points — there the tree's pruning wins and the
+// caller keeps the tree sweep.
+func (c *CachedIndex) binGrid(R float64) bool {
 	n := c.n
 	if n == 0 || R <= 0 {
 		return false
 	}
-	h := R / 2
+	g := &c.grid
+	g.h = R / 2
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, p := range c.built[:n] {
 		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
 		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
 	}
-	fx := math.Floor((maxX-minX)/h) + 1
-	fy := math.Floor((maxY-minY)/h) + 1
+	fx := math.Floor((maxX-minX)/g.h) + 1
+	fy := math.Floor((maxY-minY)/g.h) + 1
 	if !(fx > 0 && fy > 0) || fx*fy > float64(16*n+64) {
 		return false
 	}
-	nx, ny := int(fx), int(fy)
-	ncells := nx * ny
+	g.minX, g.minY = minX, minY
+	g.nx, g.ny = int(fx), int(fy)
+	ncells := g.nx * g.ny
 
-	cellOf := func(p geom.Vec) (int, int) {
-		cx, cy := int((p.X-minX)/h), int((p.Y-minY)/h)
-		if cx >= nx {
-			cx = nx - 1
-		}
-		if cy >= ny {
-			cy = ny - 1
-		}
-		return cx, cy
-	}
-	c.cellStart = grow(c.cellStart, ncells+1)
-	for i := range c.cellStart {
-		c.cellStart[i] = 0
-	}
+	g.start = grow(g.start, ncells+1)
+	clear(g.start)
 	for _, p := range c.built[:n] {
-		cx, cy := cellOf(p)
-		c.cellStart[cy*nx+cx+1]++
+		cx, cy := g.cell(p)
+		g.start[cy*g.nx+cx+1]++
 	}
 	for i := 1; i <= ncells; i++ {
-		c.cellStart[i] += c.cellStart[i-1]
+		g.start[i] += g.start[i-1]
 	}
-	c.cellCur = grow(c.cellCur, ncells)
-	copy(c.cellCur, c.cellStart[:ncells])
-	c.cellPts = grow(c.cellPts, n)
-	c.cellXs = grow(c.cellXs, n)
-	c.cellYs = grow(c.cellYs, n)
-	for i := 0; i < n; i++ {
-		p := c.built[i]
-		cx, cy := cellOf(p)
-		k := c.cellCur[cy*nx+cx]
-		c.cellPts[k] = int32(i)
-		c.cellXs[k] = p.X
-		c.cellYs[k] = p.Y
-		c.cellCur[cy*nx+cx]++
+	g.cur = grow(g.cur, ncells)
+	copy(g.cur, g.start[:ncells])
+	g.pts = grow(g.pts, n)
+	g.xs = grow(g.xs, n)
+	g.ys = grow(g.ys, n)
+	for i, p := range c.built[:n] {
+		cx, cy := g.cell(p)
+		k := g.cur[cy*g.nx+cx]
+		g.pts[k] = int32(i)
+		g.xs[k] = p.X
+		g.ys[k] = p.Y
+		g.cur[cy*g.nx+cx]++
 	}
+	return true
+}
 
-	R2 := R * R
-	// cellWindow returns the clamped 5×5 cell neighborhood of p.
-	cellWindow := func(p geom.Vec) (xlo, xhi, ylo, yhi int) {
-		cx, cy := cellOf(p)
-		ylo, yhi = cy-2, cy+2
-		if ylo < 0 {
-			ylo = 0
-		}
-		if yhi >= ny {
-			yhi = ny - 1
-		}
-		xlo, xhi = cx-2, cx+2
-		if xlo < 0 {
-			xlo = 0
-		}
-		if xhi >= nx {
-			xhi = nx - 1
-		}
-		return
-	}
-	sweep := func(lo, hi int, emit func(i int32, j int)) int64 {
-		var visited int64
-		for j := lo; j < hi; j++ {
-			p := c.built[j]
-			xlo, xhi, ylo, yhi := cellWindow(p)
-			for yy := ylo; yy <= yhi; yy++ {
-				base := yy * nx
-				s, e := c.cellStart[base+xlo], c.cellStart[base+xhi+1]
-				xs, ys := c.cellXs[s:e], c.cellYs[s:e]
-				visited += int64(e - s)
+// sweepGrid is the dense-layout list sweep over the grid binGrid built:
+// for each candidate j in [lo, hi), the probing slots within R (R2 = R²)
+// are appended to buf. The all-slots-probe case (every sequential tick)
+// drops the per-candidate mask load.
+func (c *CachedIndex) sweepGrid(lo, hi int, R2 float64, buf []int32) ([]int32, int64) {
+	g := &c.grid
+	maskAll := !c.hasProbe
+	var visited int64
+	for j := lo; j < hi; j++ {
+		p := c.built[j]
+		start := len(buf)
+		xlo, xhi, ylo, yhi := g.window(p)
+		for yy := ylo; yy <= yhi; yy++ {
+			base := yy * g.nx
+			s, e := g.start[base+xlo], g.start[base+xhi+1]
+			xs, ys, slots := g.xs[s:e], g.ys[s:e], g.pts[s:e]
+			visited += int64(e - s)
+			if maskAll {
 				for k, x := range xs {
 					dx, dy := x-p.X, ys[k]-p.Y
 					if dx*dx+dy*dy <= R2 {
-						if i := c.cellPts[int(s)+k]; c.mask[i] {
-							emit(i, j)
+						buf = append(buf, slots[k])
+					}
+				}
+			} else {
+				for k, x := range xs {
+					dx, dy := x-p.X, ys[k]-p.Y
+					if dx*dx+dy*dy <= R2 {
+						if i := slots[k]; c.mask[i] {
+							buf = append(buf, i)
 						}
 					}
 				}
 			}
 		}
-		return visited
+		c.jcnt[j] = int32(len(buf) - start)
 	}
-
-	chunks := Parallelism()
-	if m := n / listBuildGrain; m < chunks {
-		chunks = m
-	}
-	if chunks <= 1 {
-		// Serial sweep, written out rather than routed through sweep's emit
-		// closure: the indirect call per list entry is measurable (~15% of
-		// the build) and the serial path is the common one on small hosts.
-		// The all-slots-probe case (every sequential tick) additionally
-		// drops the per-candidate mask load.
-		var visited, entries int64
-		lists := c.lists
-		maskAll := !c.hasProbe
-		for j := 0; j < n; j++ {
-			p := c.built[j]
-			xlo, xhi, ylo, yhi := cellWindow(p)
-			for yy := ylo; yy <= yhi; yy++ {
-				base := yy * nx
-				s, e := c.cellStart[base+xlo], c.cellStart[base+xhi+1]
-				xs, ys := c.cellXs[s:e], c.cellYs[s:e]
-				visited += int64(e - s)
-				if maskAll {
-					for k, x := range xs {
-						dx, dy := x-p.X, ys[k]-p.Y
-						if dx*dx+dy*dy <= R2 {
-							i := c.cellPts[int(s)+k]
-							lists[i] = append(lists[i], int32(j))
-							entries++
-						}
-					}
-				} else {
-					for k, x := range xs {
-						dx, dy := x-p.X, ys[k]-p.Y
-						if dx*dx+dy*dy <= R2 {
-							if i := c.cellPts[int(s)+k]; c.mask[i] {
-								lists[i] = append(lists[i], int32(j))
-								entries++
-							}
-						}
-					}
-				}
-			}
-		}
-		c.buildCost, c.listWork = visited, entries
-		c.charge(int64(n), visited)
-		return true
-	}
-
-	// Parallel: private (i, j) pair buffers per j-chunk, merged in chunk
-	// order — ascending j, identical lists to the serial sweep.
-	for len(c.pairs) < chunks {
-		c.pairs = append(c.pairs, nil)
-	}
-	c.vis = grow(c.vis, chunks)
-	ParallelFor(n, listBuildGrain, func(chunk, lo, hi int) {
-		pairs := c.pairs[chunk][:0]
-		c.vis[chunk] = sweep(lo, hi, func(i int32, j int) {
-			pairs = append(pairs, int64(i)<<32|int64(j))
-		})
-		c.pairs[chunk] = pairs
-	})
-	var visited, entries int64
-	for chunk := 0; chunk < chunks; chunk++ {
-		for _, pr := range c.pairs[chunk] {
-			c.lists[pr>>32] = append(c.lists[pr>>32], int32(pr&0xffffffff))
-		}
-		visited += c.vis[chunk]
-		entries += int64(len(c.pairs[chunk]))
-	}
-	c.buildCost, c.listWork = visited, entries
-	c.charge(int64(n), visited)
-	return true
+	return buf, visited
 }
 
 // SlotCandidates returns slot's sorted candidate list and the shared
@@ -648,7 +881,8 @@ func (c *CachedIndex) buildListsGrid(R float64) bool {
 // current distance. Read-only and safe for concurrent calls. Only valid
 // after a BuildKeyed with probeRad > 0 and slot in the probe set.
 func (c *CachedIndex) SlotCandidates(slot int32) ([]int32, []geom.Vec) {
-	return c.lists[slot], c.cur
+	lo, hi := c.off[slot], c.off[slot+1]
+	return c.ent[lo:hi:hi], c.cur
 }
 
 // Current returns the current position of slot i (for callers that track

@@ -279,20 +279,63 @@ func TestCachedParallelMatchesSerial(t *testing.T) {
 }
 
 // FuzzIndexConformance drives all four index implementations through a
-// fuzzer-chosen point set, a displacement step, and a probe, requiring
-// identical answers everywhere — including the cached index's stale-tree
-// reuse path when the step stays within the skin.
+// fuzzer-chosen point set, a displacement step, membership churn and a
+// probe, requiring identical answers everywhere — including the cached
+// index's stale-tree reuse path when the step stays within the skin, and
+// its patch path when churn changes the keyed population.
 func FuzzIndexConformance(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(3), false)
-	f.Add(int64(7), uint8(200), uint8(0), true)
-	f.Add(int64(42), uint8(1), uint8(9), false)
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, stepN uint8, bigStep bool) {
+	f.Add(int64(1), uint8(40), uint8(3), false, uint8(0))
+	f.Add(int64(7), uint8(200), uint8(0), true, uint8(0x13))
+	f.Add(int64(42), uint8(1), uint8(9), false, uint8(0x21))
+	f.Add(int64(9), uint8(150), uint8(5), false, uint8(0xb2))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, stepN uint8, bigStep bool, churn uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		const skin = 2.0
 		pts := randomPoints(rng, int(n)+1, 50)
-		keys := keysFor(pts)
+		keys := make([]int64, len(pts))
+		for i := range keys {
+			keys[i] = int64(4 * (i + 1)) // room for arrivals in between
+		}
+		// The top churn bit restricts probing to the keys not divisible by
+		// 3, in both builds, so survivors keep their probe status.
+		probeOf := func(keys []int64) []int32 {
+			if churn&0x80 == 0 {
+				return nil
+			}
+			probe := []int32{}
+			for i, k := range keys {
+				if k%3 != 0 {
+					probe = append(probe, int32(i))
+				}
+			}
+			return probe
+		}
 		cached := NewCached(10, skin)
-		cached.BuildKeyed(append([]Point(nil), pts...), keys, nil)
+		cached.BuildKeyed(append([]Point(nil), pts...), keys, probeOf(keys))
+
+		// Churn: the low nibble departs that many points and the next
+		// three bits insert that many arrivals between surviving keys.
+		for d := int(churn & 0xf); d > 0 && len(pts) > 1; d-- {
+			i := rng.Intn(len(pts))
+			pts = append(pts[:i], pts[i+1:]...)
+			keys = append(keys[:i], keys[i+1:]...)
+		}
+		for a := int(churn>>4) & 7; a > 0; a-- {
+			i := rng.Intn(len(keys) + 1)
+			k := int64(1)
+			if i > 0 {
+				k = keys[i-1] + 1
+			}
+			if i < len(keys) && k >= keys[i] {
+				continue // no room between neighbors
+			}
+			keys = append(keys[:i], append([]int64{k}, keys[i:]...)...)
+			pts = append(pts[:i], append([]Point{{Pos: geom.V(rng.Float64()*50, rng.Float64()*50)}}, pts[i:]...)...)
+		}
+		for i := range pts {
+			pts[i].ID = int32(i)
+		}
+		probe := probeOf(keys)
 
 		// One displacement step per point: within s/2 normally; one point
 		// jumps far when bigStep, which must trigger a rebuild.
@@ -305,7 +348,7 @@ func FuzzIndexConformance(f *testing.F) {
 		if bigStep {
 			pts[0].Pos.X += 3 * skin
 		}
-		cached.BuildKeyed(append([]Point(nil), pts...), keys, nil)
+		cached.BuildKeyed(append([]Point(nil), pts...), keys, probe)
 
 		oracle := NewScan()
 		oracle.Build(append([]Point(nil), pts...))
@@ -329,9 +372,14 @@ func FuzzIndexConformance(f *testing.F) {
 		}
 		// Slot probes are only served while the adaptive gate keeps lists
 		// on (a reuse-miss cycle turns them off); the engines check
-		// HasLists the same way.
-		if cached.HasLists() {
+		// HasLists the same way. Every probe slot's list must be strictly
+		// ascending and filter to the exact answer.
+		checkLists(t, 1, cached, pts, probe)
+		if cached.HasLists() && (probe == nil || len(probe) > 0) && len(pts) > 0 {
 			slot := int32(rng.Intn(len(pts)))
+			if probe != nil {
+				slot = probe[rng.Intn(len(probe))]
+			}
 			srad := rng.Float64() * 10
 			if got, want := slotCircle(cached, slot, srad), collectCircle(oracle, pts[slot].Pos, srad); !idsEqual(got, want) {
 				t.Fatalf("cached slot probe: got=%v want=%v", got, want)
